@@ -10,12 +10,12 @@
 //! the profit guard makes `Steal` structurally unable to regress below
 //! `Static`, so a `false` here is a real bug, not bench noise.
 
+use crate::common::{hybrid, spec, steal_mode};
 use madness_cluster::balance::BalanceMode;
 use madness_cluster::cluster::ClusterSim;
 use madness_cluster::network::NetworkModel;
-use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
-use madness_cluster::workload::{TaskPopulation, WorkloadSpec};
-use madness_gpusim::KernelKind;
+use madness_cluster::node::{NodeParams, NodeSim};
+use madness_cluster::workload::TaskPopulation;
 use madness_mra::procmap::CostPartitionMap;
 use madness_mra::synth::{synthesize_tree, SynthTreeParams};
 use madness_trace::NullRecorder;
@@ -83,24 +83,6 @@ impl BalanceBenchReport {
     }
 }
 
-fn spec() -> WorkloadSpec {
-    WorkloadSpec {
-        d: 3,
-        k: 10,
-        rank: 100,
-        rr_mean_rank: None,
-    }
-}
-
-fn hybrid() -> ResourceMode {
-    ResourceMode::Hybrid {
-        compute_threads: 10,
-        data_threads: 5,
-        streams: 5,
-        kernel: KernelKind::CustomMtxmq,
-    }
-}
-
 /// The lumpy population: the acceptance workload of ISSUE 5 — a
 /// depth-1 `CostPartition` map over a clustered 4,000-leaf tree on 16
 /// nodes, times the 27 displacement probes of a Coulomb apply.
@@ -135,13 +117,7 @@ fn even_population(n: usize, total: u64) -> TaskPopulation {
 fn modes() -> [(&'static str, BalanceMode); 3] {
     [
         ("static", BalanceMode::Static),
-        (
-            "steal",
-            BalanceMode::Steal {
-                min_batch: 60,
-                max_inflight: 8,
-            },
-        ),
+        ("steal", steal_mode()),
         ("repartition", BalanceMode::Repartition { epochs: 4 }),
     ]
 }

@@ -307,25 +307,9 @@ fn dag(write_json: bool) {
         "Dag — chained-operator futures DAG, SCF + BSH-chain workloads, 2 nodes\n\
          completion-triggered dataflow vs the barrier-stepped baseline;\n\
          sweep-line inter-stage overlap, seeded fault retry/quarantine,\n\
-         bit-identical replay pins on report and trace journal",
-    );
-    let r = dag_report::dag_table();
-    print!("{}", dag_report::render(&r));
-    if write_json {
-        let path = std::path::Path::new("BENCH_dag.json");
-        match std::fs::write(path, dag_report::to_json(&r)) {
-            Ok(()) => println!("\ndag trajectory point written to {}", path.display()),
-            Err(e) => eprintln!("\ncould not write {}: {e}", path.display()),
-        }
-    }
-}
-
-fn dag_chaos(write_json: bool) {
-    hr(
-        "Dag-chaos — survivable DAG execution: a node crash one third into\n\
-         a 3-node SCF schedule; frontier checkpoints fold lost lineage,\n\
-         survivors replay it over contended links, and a copy of the\n\
-         critical tail races a failing primary (first completion wins)",
+         bit-identical replay pins on report and trace journal; chaos:\n\
+         a node crash one third into a 3-node SCF schedule, frontier\n\
+         checkpoints, lineage replay and tail speculation",
     );
     let r = dag_report::dag_table();
     print!("{}", dag_report::render(&r));
@@ -375,7 +359,6 @@ const EXPERIMENTS: &[&str] = &[
     "balance",
     "serve",
     "dag",
-    "dag-chaos",
     "chaos-serve",
 ];
 
@@ -383,9 +366,8 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--json` affects `bench` (writes BENCH_apply.json), `kernels`
     // (writes BENCH_kernels.json), `balance` (writes BENCH_cluster.json),
-    // `serve` (writes BENCH_serve.json), `dag`/`dag-chaos` (both write
-    // the full BENCH_dag.json), and `chaos-serve` (writes
-    // BENCH_chaos.json).
+    // `serve` (writes BENCH_serve.json), `dag` (writes BENCH_dag.json),
+    // and `chaos-serve` (writes BENCH_chaos.json).
     let json = args.iter().any(|a| a == "--json");
     args.retain(|a| a != "--json");
     if let Some(bad) = args
@@ -463,11 +445,6 @@ fn main() {
     }
     if want("dag") {
         dag(json);
-    }
-    // `all` already regenerates BENCH_dag.json via `dag`; only run the
-    // chaos-focused banner when asked for by name.
-    if !run_all && args.iter().any(|a| a == "dag-chaos") {
-        dag_chaos(json);
     }
     if want("chaos-serve") {
         chaos(json);

@@ -33,33 +33,17 @@
 //! * `rejoin_recovers_throughput` — the rejoin scenario completes at
 //!   least as many requests as leaving the node dead.
 
+use crate::common::{hybrid, ms, steal_mode};
 use crate::serve_report::pinned_config;
 use madness_cluster::cluster::ClusterSim;
 use madness_cluster::network::NetworkModel;
-use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
+use madness_cluster::node::{NodeParams, NodeSim};
 use madness_cluster::serve::{
     BrownoutConfig, HedgeConfig, ServeReport, ShedPolicy, SurvivalConfig,
 };
-use madness_cluster::BalanceMode;
 use madness_faults::{FaultPlan, RecoveryPolicy};
-use madness_gpusim::{KernelKind, SimTime};
+use madness_gpusim::SimTime;
 use madness_trace::{MemRecorder, NullRecorder};
-
-fn hybrid() -> ResourceMode {
-    ResourceMode::Hybrid {
-        compute_threads: 10,
-        data_threads: 5,
-        streams: 5,
-        kernel: KernelKind::CustomMtxmq,
-    }
-}
-
-fn steal_mode() -> BalanceMode {
-    BalanceMode::Steal {
-        min_batch: 60,
-        max_inflight: 8,
-    }
-}
 
 /// One scenario outcome of the chaos matrix.
 #[derive(Clone, Debug)]
@@ -232,10 +216,6 @@ pub fn chaos_table() -> ChaosBenchReport {
         rows,
         replay_identical,
     }
-}
-
-fn ms(t: SimTime) -> f64 {
-    t.as_secs_f64() * 1e3
 }
 
 /// Renders the table `tablegen chaos-serve` prints.

@@ -21,7 +21,7 @@
 //!   quarantines every one of them, and still completes the graph
 //!   (chained tasks never deadlock on a failed predecessor).
 //!
-//! The chaos section (`tablegen dag-chaos`) crashes a node one third
+//! The chaos section (`tablegen dag`) crashes a node one third
 //! into a 3-node SCF schedule and pins the survivable-execution gates:
 //! `node_loss_conserved` (the widened attempt law and the journal
 //! agree), chaos `replay_identical`, `recovery_not_slower_than_restart`
@@ -29,16 +29,17 @@
 //! `speculation_trims_critical_path` (a deterministic seed scan finds a
 //! fault draw where racing a copy of the critical tail strictly wins).
 
+use crate::common::{hybrid, ms};
 use madness_cluster::dag::{
     run_dag, run_dag_survivable, DagFaultSpec, DagMode, DagRunReport, DagSurvivalSpec, DagTask,
     DagWorkload, SurvivableDagReport,
 };
 use madness_cluster::network::NetworkModel;
-use madness_cluster::node::{NodeParams, NodeRate, NodeSim, ResourceMode};
+use madness_cluster::node::{NodeParams, NodeRate, NodeSim};
 use madness_cluster::workload::WorkloadSpec;
 use madness_core::{BshChainApp, BshChainConfig, ScfApp, ScfConfig};
 use madness_faults::{FaultPlan, NodeFault, NodeTimeline, RecoveryPolicy};
-use madness_gpusim::{KernelKind, SimTime};
+use madness_gpusim::SimTime;
 use madness_trace::{MemRecorder, NullRecorder, Stage};
 
 /// Nodes in the pinned cluster.
@@ -72,11 +73,11 @@ pub struct DagBenchReport {
     pub replay_identical: bool,
     /// The faulted dataflow row replayed bit-identically too.
     pub faulted_replay_identical: bool,
-    /// The node-loss chaos section (`tablegen dag-chaos`).
+    /// The node-loss chaos section (`tablegen dag`).
     pub chaos: DagChaosReport,
 }
 
-/// The `tablegen dag-chaos` section: the pinned SCF workload with a
+/// The `tablegen dag` chaos section: the pinned SCF workload with a
 /// mid-schedule node crash, recovered via frontier fold + lineage
 /// replay, compared against the naive restart baseline; plus the
 /// tail-speculation race on a skewed two-chain workload.
@@ -347,15 +348,6 @@ fn spec(k: usize, rank: usize) -> WorkloadSpec {
     }
 }
 
-fn hybrid() -> ResourceMode {
-    ResourceMode::Hybrid {
-        compute_threads: 10,
-        data_threads: 5,
-        streams: 5,
-        kernel: KernelKind::CustomMtxmq,
-    }
-}
-
 fn faults() -> DagFaultSpec {
     DagFaultSpec {
         seed: 0xDA6_0001,
@@ -479,10 +471,6 @@ pub fn dag_table() -> DagBenchReport {
         faulted_replay_identical,
         chaos: dag_chaos_table(&scf_w, rate, &net),
     }
-}
-
-fn ms(t: SimTime) -> f64 {
-    t.as_secs_f64() * 1e3
 }
 
 /// Renders the table `tablegen dag` prints.

@@ -9,10 +9,10 @@
 //! re-admissions). The conservation column is the contract: every task
 //! completes exactly once under every schedule.
 
+use crate::common::hybrid;
 use crate::tables;
-use madness_cluster::node::{FaultSummary, NodeSim, ResourceMode};
+use madness_cluster::node::{FaultSummary, NodeSim};
 use madness_faults::{FaultPlan, RecoveryPolicy};
-use madness_gpusim::KernelKind;
 use madness_trace::NullRecorder;
 
 /// One fault schedule's outcome on the fixed workload.
@@ -37,15 +37,6 @@ pub struct FaultsReport {
     pub tasks: u64,
     /// One row per fault schedule.
     pub rows: Vec<FaultRow>,
-}
-
-fn hybrid() -> ResourceMode {
-    ResourceMode::Hybrid {
-        compute_threads: 10,
-        data_threads: 5,
-        streams: 5,
-        kernel: KernelKind::CustomMtxmq,
-    }
 }
 
 /// The schedule ladder: one fault class at a time, then everything at

@@ -34,6 +34,7 @@
 pub mod ablation;
 pub mod balance_report;
 pub mod chaos_report;
+mod common;
 pub mod dag_report;
 pub mod dispatch_report;
 pub mod faults_report;

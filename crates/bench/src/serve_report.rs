@@ -17,14 +17,14 @@
 //! * `tail_holds_under_faults` — a straggler inflates p999, it never
 //!   loses requests.
 
+use crate::common::{hybrid, ms, spec, steal_mode};
 use madness_cluster::cluster::ClusterSim;
 use madness_cluster::network::NetworkModel;
-use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
+use madness_cluster::node::{NodeParams, NodeSim};
 use madness_cluster::serve::{RateProfile, ServeConfig, ServeReport, ShedPolicy, TenantSpec};
-use madness_cluster::workload::WorkloadSpec;
 use madness_cluster::BalanceMode;
 use madness_faults::{FaultPlan, RecoveryPolicy};
-use madness_gpusim::{KernelKind, SimTime};
+use madness_gpusim::SimTime;
 use madness_runtime::TenantId;
 use madness_trace::{MemRecorder, NullRecorder};
 
@@ -104,31 +104,6 @@ impl ServeBenchReport {
         let healthy = &self.row("steal").report;
         let faulty = &self.row("steal+straggler").report;
         faulty.conserved() && faulty.overall.p999 >= healthy.overall.p999
-    }
-}
-
-fn spec() -> WorkloadSpec {
-    WorkloadSpec {
-        d: 3,
-        k: 10,
-        rank: 100,
-        rr_mean_rank: None,
-    }
-}
-
-fn hybrid() -> ResourceMode {
-    ResourceMode::Hybrid {
-        compute_threads: 10,
-        data_threads: 5,
-        streams: 5,
-        kernel: KernelKind::CustomMtxmq,
-    }
-}
-
-fn steal_mode() -> BalanceMode {
-    BalanceMode::Steal {
-        min_batch: 60,
-        max_inflight: 8,
     }
 }
 
@@ -214,10 +189,6 @@ pub fn serve_table() -> ServeBenchReport {
         rows,
         replay_identical,
     }
-}
-
-fn ms(t: SimTime) -> f64 {
-    t.as_secs_f64() * 1e3
 }
 
 /// Renders the table `tablegen serve` prints.

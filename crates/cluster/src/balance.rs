@@ -36,12 +36,10 @@
 
 use crate::cluster::{ClusterReport, ClusterSim};
 use crate::des::Des;
-use crate::network::Interconnect;
+use crate::network::{Interconnect, NetworkModel};
 use crate::node::{FaultSummary, NodeRate, ResourceMode};
 use crate::workload::TaskPopulation;
-use madness_faults::{
-    FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, RecoveryPolicy,
-};
+use madness_faults::{FaultAction, FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
 use madness_gpusim::SimTime;
 use madness_mra::procmap::lpt_assign;
 use madness_trace::{BalanceEvent, BalanceKind, Recorder, Stage};
@@ -104,6 +102,121 @@ pub struct BalanceReport {
     pub migration_wire: SimTime,
 }
 
+/// What a committed migration is, for the journal: a balance move
+/// (`Stage::Migrate` span plus a [`BalanceEvent`] and the migration
+/// counters) or a survival copy (`Stage::Recover` span plus a
+/// [`FaultEvent`] and `count` added to `counter`).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Move {
+    Balance(BalanceKind),
+    Recover {
+        kind: FaultKind,
+        action: FaultAction,
+        counter: &'static str,
+        count: u64,
+    },
+}
+
+/// The migration ledger of a cluster DES: the contended interconnect,
+/// the steal in-flight count and the [`BalanceReport`] every migration
+/// commits to. The balance and serving loops move work only through it.
+#[derive(Debug)]
+pub(crate) struct Migrations {
+    net: Interconnect,
+    bytes_per_task: u64,
+    /// Steal migrations on the wire (capped by `max_inflight`).
+    inflight: usize,
+    pub(crate) report: BalanceReport,
+}
+
+impl Migrations {
+    pub(crate) fn new(model: NetworkModel, bytes_per_task: u64) -> Self {
+        Migrations {
+            net: Interconnect::new(model),
+            bytes_per_task,
+            inflight: 0,
+            report: BalanceReport::default(),
+        }
+    }
+
+    /// The in-flight cap: true, and one more blocked steal counted,
+    /// when `max_inflight` steals are already on the wire.
+    pub(crate) fn steal_blocked(&mut self, max_inflight: usize) -> bool {
+        let blocked = self.inflight >= max_inflight.max(1);
+        self.report.blocked_steals += u64::from(blocked);
+        blocked
+    }
+
+    /// When a migration of `tasks` released at `now` would land,
+    /// without booking it (the steal profit guard's quote).
+    pub(crate) fn quote(&self, now: SimTime, tasks: u64) -> SimTime {
+        self.net.next_start(now) + self.net.model().migration_time(tasks, self.bytes_per_task)
+    }
+
+    /// Commits a migration of `tasks` from `from` to `to` decided at
+    /// `now`: books a link, adds it to the ledger (a steal also takes an
+    /// in-flight slot) and journals it as `mv`. Returns the arrival.
+    pub(crate) fn commit<R: Recorder>(
+        &mut self,
+        rec: &mut R,
+        mv: Move,
+        (from, to): (usize, usize),
+        tasks: u64,
+        now: SimTime,
+    ) -> SimTime {
+        let bytes = tasks * self.bytes_per_task;
+        let wire = self.net.model().migration_time(tasks, self.bytes_per_task);
+        let (lane, start, arrive) = self.net.migrate(now, tasks, self.bytes_per_task);
+        if let Move::Balance(BalanceKind::Steal) = mv {
+            self.report.steals += 1;
+            self.inflight += 1;
+        }
+        self.report.migrated_tasks += tasks;
+        self.report.migrated_bytes += bytes;
+        self.report.migration_wire += wire;
+        if R::ENABLED {
+            let (lane, start_ns, end_ns) = (lane as u32, start.as_nanos(), arrive.as_nanos());
+            match mv {
+                Move::Balance(kind) => {
+                    rec.span(Stage::Migrate, start_ns, end_ns, lane);
+                    rec.balance_event(BalanceEvent {
+                        kind,
+                        from_node: from as u32,
+                        to_node: to as u32,
+                        tasks,
+                        bytes,
+                        at_ns: now.as_nanos(),
+                    });
+                    rec.add("migrations", 1);
+                    rec.add("migrated_tasks", tasks);
+                    rec.add("migrated_bytes", bytes);
+                }
+                Move::Recover {
+                    kind,
+                    action,
+                    counter,
+                    count,
+                } => {
+                    rec.span(Stage::Recover, start_ns, end_ns, lane);
+                    rec.fault(FaultEvent {
+                        kind,
+                        action,
+                        at_ns: now.as_nanos(),
+                        tasks,
+                    });
+                    rec.add(counter, count);
+                }
+            }
+        }
+        arrive
+    }
+
+    /// A steal migration landed: its in-flight slot frees up.
+    pub(crate) fn steal_landed(&mut self) {
+        self.inflight = self.inflight.saturating_sub(1);
+    }
+}
+
 /// One node's state inside the balance DES.
 #[derive(Clone, Debug)]
 struct BalNode {
@@ -136,47 +249,20 @@ enum Ev {
     /// The batch in service on `node` completed (or the node spun up).
     BatchDone(usize),
     /// A migration of `tasks` tasks landed on `to`.
-    Arrive { to: usize, from: usize, tasks: u64 },
-    /// Repartition sync point (the index is informational).
-    Epoch(#[allow(dead_code)] u32),
+    Arrive { to: usize, tasks: u64 },
+    /// Repartition sync point.
+    Epoch,
 }
 
 /// Full cluster state threaded through the event loop.
-struct BalCluster<'a> {
+struct BalCluster<'a, R: Recorder> {
     nodes: Vec<BalNode>,
     des: Des<Ev>,
-    net: Interconnect,
+    mig: Migrations,
     /// Whole-batch quantum (the batcher's size trigger).
     batch_cap: u64,
-    bytes_per_task: u64,
     mode: BalanceMode,
-    inflight: usize,
-    report: BalanceReport,
-    rec: &'a mut dyn DynRecorder,
-}
-
-/// Object-safe shim over [`Recorder`] so the event loop is not generic
-/// over it (the hot path here is decision logic, not journaling).
-trait DynRecorder {
-    fn enabled(&self) -> bool;
-    fn span(&mut self, stage: Stage, start_ns: u64, end_ns: u64, lane: u32);
-    fn balance_event(&mut self, ev: BalanceEvent);
-    fn add(&mut self, counter: &'static str, delta: u64);
-}
-
-impl<R: Recorder> DynRecorder for R {
-    fn enabled(&self) -> bool {
-        R::ENABLED
-    }
-    fn span(&mut self, stage: Stage, start_ns: u64, end_ns: u64, lane: u32) {
-        Recorder::span(self, stage, start_ns, end_ns, lane);
-    }
-    fn balance_event(&mut self, ev: BalanceEvent) {
-        Recorder::balance_event(self, ev);
-    }
-    fn add(&mut self, counter: &'static str, delta: u64) {
-        Recorder::add(self, counter, delta);
-    }
+    rec: &'a mut R,
 }
 
 /// Per-node outcome of the DES: what it executed and when it finished.
@@ -186,11 +272,12 @@ struct NodeOutcome {
     finish: SimTime,
 }
 
-impl<'a> BalCluster<'a> {
+impl<R: Recorder> BalCluster<'_, R> {
     /// Per-node injection time if the node ends up with `tasks` tasks —
     /// the network component of its finish estimate.
     fn inj(&self, tasks: u64) -> SimTime {
-        self.net.model().injection_time(tasks, self.bytes_per_task)
+        let mig = &self.mig;
+        mig.net.model().injection_time(tasks, mig.bytes_per_task)
     }
 
     /// Estimated node finish including unoverlapped injection.
@@ -230,8 +317,7 @@ impl<'a> BalCluster<'a> {
         if self.nodes[thief].awaiting || self.nodes[thief].queue > 0 {
             return;
         }
-        if self.inflight >= max_inflight.max(1) {
-            self.report.blocked_steals += 1;
+        if self.mig.steal_blocked(max_inflight) {
             return; // retried when a transfer lands
         }
         // Victim: latest estimated finish among nodes with at least one
@@ -257,71 +343,34 @@ impl<'a> BalCluster<'a> {
         // congested network), fall back to a single batch.
         for a_batches in [want_batches, 1] {
             let a = a_batches * self.batch_cap;
-            let wire = self.net.model().migration_time(a, self.bytes_per_task);
-            let start = self.net.next_start(now);
-            let arrive = start + wire;
+            let arrive = self.mig.quote(now, a);
             let t = &self.nodes[thief];
             let compute_after = t.busy_until.max(arrive) + t.rate.per_task * a;
             let thief_est = compute_after.max(self.inj(t.executed + a));
             if thief_est <= victim_est {
-                let (lane, s2, a2) = self.net.migrate(now, a, self.bytes_per_task);
-                debug_assert_eq!((s2, a2), (start, arrive));
+                let booked = self.mig.commit(
+                    self.rec,
+                    Move::Balance(BalanceKind::Steal),
+                    (v, thief),
+                    a,
+                    now,
+                );
+                debug_assert_eq!(booked, arrive);
                 self.nodes[v].queue -= a;
                 self.nodes[thief].awaiting = true;
-                self.inflight += 1;
                 self.des.schedule(
                     arrive,
                     Ev::Arrive {
                         to: thief,
-                        from: v,
                         tasks: a,
                     },
                 );
-                self.journal_migration(BalanceKind::Steal, v, thief, a, lane, start, arrive, now);
-                self.report.steals += 1;
-                self.report.migrated_tasks += a;
-                self.report.migrated_bytes += a * self.bytes_per_task;
-                self.report.migration_wire += wire;
                 return;
             }
             if a_batches == 1 {
                 break;
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn journal_migration(
-        &mut self,
-        kind: BalanceKind,
-        from: usize,
-        to: usize,
-        tasks: u64,
-        lane: usize,
-        start: SimTime,
-        arrive: SimTime,
-        decided: SimTime,
-    ) {
-        if !self.rec.enabled() {
-            return;
-        }
-        self.rec.span(
-            Stage::Migrate,
-            start.as_nanos(),
-            arrive.as_nanos(),
-            lane as u32,
-        );
-        self.rec.balance_event(BalanceEvent {
-            kind,
-            from_node: from as u32,
-            to_node: to as u32,
-            tasks,
-            bytes: tasks * self.bytes_per_task,
-            at_ns: decided.as_nanos(),
-        });
-        self.rec.add("migrations", 1);
-        self.rec.add("migrated_tasks", tasks);
-        self.rec.add("migrated_bytes", tasks * self.bytes_per_task);
     }
 
     /// TREES-style sync point: reassign every queued whole batch by
@@ -383,30 +432,15 @@ impl<'a> BalCluster<'a> {
                 let (to, need) = &mut deficit[di];
                 let b = give.min(*need);
                 let a = b * self.batch_cap;
-                let wire = self.net.model().migration_time(a, self.bytes_per_task);
-                let (lane, start, arrive) = self.net.migrate(now, a, self.bytes_per_task);
-                self.nodes[from].queue -= a;
-                self.des.schedule(
-                    arrive,
-                    Ev::Arrive {
-                        to: *to,
-                        from,
-                        tasks: a,
-                    },
-                );
-                self.journal_migration(
-                    BalanceKind::Repartition,
-                    from,
-                    *to,
+                let arrive = self.mig.commit(
+                    self.rec,
+                    Move::Balance(BalanceKind::Repartition),
+                    (from, *to),
                     a,
-                    lane,
-                    start,
-                    arrive,
                     now,
                 );
-                self.report.migrated_tasks += a;
-                self.report.migrated_bytes += a * self.bytes_per_task;
-                self.report.migration_wire += wire;
+                self.nodes[from].queue -= a;
+                self.des.schedule(arrive, Ev::Arrive { to: *to, tasks: a });
                 moved_any = true;
                 give -= b;
                 *need -= b;
@@ -416,7 +450,7 @@ impl<'a> BalCluster<'a> {
             }
         }
         if moved_any {
-            self.report.repartitions += 1;
+            self.mig.report.repartitions += 1;
         }
     }
 
@@ -439,9 +473,8 @@ impl<'a> BalCluster<'a> {
                         self.try_steal(i, now);
                     }
                 }
-                Ev::Arrive { to, from, tasks } => {
-                    let _ = from;
-                    self.inflight = self.inflight.saturating_sub(1);
+                Ev::Arrive { to, tasks } => {
+                    self.mig.steal_landed();
                     self.nodes[to].awaiting = false;
                     self.nodes[to].queue += tasks;
                     if self.nodes[to].busy_until <= now {
@@ -458,7 +491,7 @@ impl<'a> BalCluster<'a> {
                         }
                     }
                 }
-                Ev::Epoch(_) => self.epoch(now),
+                Ev::Epoch => self.epoch(now),
             }
         }
         self.nodes
@@ -522,30 +555,15 @@ impl ClusterSim {
     ) -> (ClusterReport, BalanceReport, Vec<FaultSummary>) {
         let spec = population.spec;
         let n = population.per_node.len();
-        let result_bytes = 8 * (spec.k as u64).pow(spec.d as u32);
-        let none = FaultPlan::none();
-
-        // Calibration: healthy nodes share one rate; each faulty plan
-        // calibrates with its injector active.
-        let healthy = self.node().calibrate(&spec, mode, &none, policy);
-        let rates: Vec<NodeRate> = (0..n)
-            .map(|i| {
-                let plan = plans.get(i).unwrap_or(&none);
-                if FaultInjector::new(plan).is_inert() {
-                    healthy
-                } else {
-                    if R::ENABLED && plan.straggler_multiplier() != 1.0 {
-                        rec.fault(FaultEvent {
-                            kind: FaultKind::SlowNode,
-                            action: FaultAction::Injected,
-                            at_ns: 0,
-                            tasks: population.per_node[i],
-                        });
-                    }
-                    self.node().calibrate(&spec, mode, plan, policy)
-                }
-            })
-            .collect();
+        let (_, rates) = self.calibrate_rates(
+            &spec,
+            mode,
+            plans,
+            policy,
+            n,
+            |i| population.per_node[i],
+            rec,
+        );
 
         // Seed the DES: every node spins up at its startup time with its
         // static partition queued.
@@ -576,23 +594,20 @@ impl ClusterSim {
                 .unwrap_or(SimTime::ZERO);
             let interval = horizon / (u64::from(epochs) + 1);
             for e in 0..epochs {
-                des.schedule(interval * (u64::from(e) + 1), Ev::Epoch(e));
+                des.schedule(interval * (u64::from(e) + 1), Ev::Epoch);
             }
         }
         let batch_cap = (self.node().params().batch.max_batch as u64).max(1);
         let mut cluster = BalCluster {
             nodes,
             des,
-            net: Interconnect::new(self.network().clone()),
+            mig: Migrations::new(self.network().clone(), spec.result_bytes()),
             batch_cap,
-            bytes_per_task: result_bytes,
             mode: bmode,
-            inflight: 0,
-            report: BalanceReport::default(),
-            rec,
+            rec: &mut *rec,
         };
         let outcomes = cluster.run();
-        let bal = cluster.report;
+        let bal = cluster.mig.report;
         debug_assert_eq!(
             outcomes.iter().map(|o| o.executed).sum::<u64>(),
             population.total(),
@@ -601,68 +616,23 @@ impl ClusterSim {
 
         // Fidelity pass: re-run each node's pipeline on what it actually
         // executed for busy-time breakdowns and fault conservation; the
-        // DES finish time overrides the isolated total. Network
-        // injection (plus fault-plan message-drop retransmits) rides on
-        // the executed counts exactly as in `run_with_faults`.
+        // DES finish time overrides the isolated total, and injection
+        // rides on the executed counts exactly as in `run_with_faults`.
+        let none = FaultPlan::none();
         let mut summaries = Vec::with_capacity(n);
-        let mut total = SimTime::ZERO;
-        let mut slowest = 0usize;
-        let mut network_time = SimTime::ZERO;
-        let mut reports = Vec::with_capacity(n);
-        for (i, out) in outcomes.iter().enumerate() {
-            let plan = plans.get(i).unwrap_or(&none);
-            let (mut report, mut summary) =
-                self.node()
-                    .simulate_faulty(&spec, out.executed, mode, plan, policy, rec);
-            report.total = out.finish;
-            let (msgs, bytes, net) = self.network().injection(out.executed, result_bytes);
-            let mut net_inj = FaultInjector::new(plan);
-            let dropped = net_inj.dropped_messages(msgs, report.total.as_nanos());
-            let net = if dropped > 0 {
-                summary.dropped_messages += dropped;
-                let per_msg = if msgs > 0 {
-                    SimTime::from_secs_f64(bytes as f64 / msgs as f64 / self.network().bandwidth)
-                } else {
-                    SimTime::ZERO
-                };
-                let retrans = (self.network().latency * 2 + per_msg) * dropped;
-                if R::ENABLED {
-                    rec.fault(FaultEvent {
-                        kind: FaultKind::DroppedMessage,
-                        action: FaultAction::Resent,
-                        at_ns: (report.total + net).as_nanos(),
-                        tasks: dropped,
-                    });
-                }
-                net + retrans
-            } else {
-                net
-            };
-            if R::ENABLED && msgs > 0 {
-                rec.event(Stage::NetSend, report.total.as_nanos(), bytes);
-                rec.add("net_msgs_sent", msgs);
-                rec.add("net_bytes_sent", bytes);
-            }
-            let node_total = report.total.max(net);
-            if node_total > total {
-                total = node_total;
-                slowest = i;
-            }
-            network_time = network_time.max(net);
-            reports.push(report);
-            summaries.push(summary);
-        }
-        (
-            ClusterReport {
-                total,
-                nodes: reports,
-                slowest_node: slowest,
-                network_time,
-                total_tasks: population.total(),
-            },
-            bal,
-            summaries,
-        )
+        let nodes = outcomes
+            .iter()
+            .enumerate()
+            .map(|(i, out)| {
+                let plan = plans.get(i).unwrap_or(&none);
+                let finish = Some(out.finish);
+                let (report, net, summary) =
+                    self.finish_node(&spec, out.executed, mode, plan, policy, finish, rec);
+                summaries.push(summary);
+                (report, net)
+            })
+            .collect();
+        (self.reduce(nodes, population), bal, summaries)
     }
 }
 

@@ -1,13 +1,13 @@
 //! Whole-cluster simulation: partition, per-node pipelines, makespan.
 
 use crate::network::NetworkModel;
-use crate::node::{FaultSummary, NodeReport, NodeSim, ResourceMode};
-use crate::workload::TaskPopulation;
+use crate::node::{FaultSummary, NodeRate, NodeReport, NodeSim, ResourceMode};
+use crate::workload::{TaskPopulation, WorkloadSpec};
 use madness_faults::{
     FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, RecoveryPolicy,
 };
 use madness_gpusim::SimTime;
-use madness_trace::{Recorder, Stage};
+use madness_trace::{NullRecorder, Recorder, Stage};
 use rayon::prelude::*;
 
 /// Aggregate result of a cluster run.
@@ -72,14 +72,14 @@ impl ClusterSim {
     /// finishes when the slowest node does. Network injection overlaps
     /// compute; only any excess beyond compute extends the node's time.
     pub fn run(&self, population: &TaskPopulation, mode: ResourceMode) -> ClusterReport {
-        let spec = population.spec;
-        let result_bytes = 8 * (spec.k as u64).pow(spec.d as u32);
+        let (spec, none) = (&population.spec, FaultPlan::none());
+        let policy = RecoveryPolicy::default();
         let nodes: Vec<(NodeReport, SimTime)> = population
             .per_node
             .par_iter()
             .map(|&n_tasks| {
-                let report = self.node.simulate(&spec, n_tasks, mode);
-                let net = self.network.injection_time(n_tasks, result_bytes);
+                let (report, net, _) =
+                    self.finish_node(spec, n_tasks, mode, &none, policy, None, &mut NullRecorder);
                 (report, net)
             })
             .collect();
@@ -97,23 +97,8 @@ impl ClusterSim {
         mode: ResourceMode,
         rec: &mut R,
     ) -> ClusterReport {
-        let spec = population.spec;
-        let result_bytes = 8 * (spec.k as u64).pow(spec.d as u32);
-        let nodes: Vec<(NodeReport, SimTime)> = population
-            .per_node
-            .iter()
-            .map(|&n_tasks| {
-                let report = self.node.simulate_recorded(&spec, n_tasks, mode, rec);
-                let (msgs, bytes, net) = self.network.injection(n_tasks, result_bytes);
-                if R::ENABLED && msgs > 0 {
-                    rec.event(Stage::NetSend, report.total.as_nanos(), bytes);
-                    rec.add("net_msgs_sent", msgs);
-                    rec.add("net_bytes_sent", bytes);
-                }
-                (report, net)
-            })
-            .collect();
-        self.reduce(nodes, population)
+        self.run_with_faults(population, mode, &[], RecoveryPolicy::default(), rec)
+            .0
     }
 
     /// [`ClusterSim::run_recorded`] under per-node fault schedules.
@@ -140,8 +125,6 @@ impl ClusterSim {
         policy: RecoveryPolicy,
         rec: &mut R,
     ) -> (ClusterReport, Vec<FaultSummary>) {
-        let spec = population.spec;
-        let result_bytes = 8 * (spec.k as u64).pow(spec.d as u32);
         let none = FaultPlan::none();
         let mut summaries = Vec::with_capacity(population.per_node.len());
         let nodes: Vec<(NodeReport, SimTime)> = population
@@ -150,48 +133,9 @@ impl ClusterSim {
             .enumerate()
             .map(|(i, &n_tasks)| {
                 let plan = plans.get(i).unwrap_or(&none);
-                if R::ENABLED && plan.straggler_multiplier() != 1.0 {
-                    rec.fault(FaultEvent {
-                        kind: FaultKind::SlowNode,
-                        action: FaultAction::Injected,
-                        at_ns: 0,
-                        tasks: n_tasks,
-                    });
-                }
-                let (report, mut summary) = self
-                    .node
-                    .simulate_faulty(&spec, n_tasks, mode, plan, policy, rec);
-                let (msgs, bytes, net) = self.network.injection(n_tasks, result_bytes);
-                // Message drops ride a fresh injector (the node's own was
-                // consumed by its pipeline): each dropped message is
-                // detected after a round-trip and streamed again.
-                let mut net_inj = FaultInjector::new(plan);
-                let dropped = net_inj.dropped_messages(msgs, report.total.as_nanos());
-                let net = if dropped > 0 {
-                    summary.dropped_messages += dropped;
-                    let per_msg = if msgs > 0 {
-                        SimTime::from_secs_f64(bytes as f64 / msgs as f64 / self.network.bandwidth)
-                    } else {
-                        SimTime::ZERO
-                    };
-                    let retrans = (self.network.latency * 2 + per_msg) * dropped;
-                    if R::ENABLED {
-                        rec.fault(FaultEvent {
-                            kind: FaultKind::DroppedMessage,
-                            action: FaultAction::Resent,
-                            at_ns: (report.total + net).as_nanos(),
-                            tasks: dropped,
-                        });
-                    }
-                    net + retrans
-                } else {
-                    net
-                };
-                if R::ENABLED && msgs > 0 {
-                    rec.event(Stage::NetSend, report.total.as_nanos(), bytes);
-                    rec.add("net_msgs_sent", msgs);
-                    rec.add("net_bytes_sent", bytes);
-                }
+                journal_straggler(plan, n_tasks, rec);
+                let (report, net, summary) =
+                    self.finish_node(&population.spec, n_tasks, mode, plan, policy, None, rec);
                 summaries.push(summary);
                 (report, net)
             })
@@ -199,7 +143,91 @@ impl ClusterSim {
         (self.reduce(nodes, population), summaries)
     }
 
-    fn reduce(
+    /// One node's part of a cluster run: its pipeline on `n_tasks` under
+    /// `plan`, then the injection of its remote accumulations. Each
+    /// dropped message (drawn on a fresh injector — the node's own was
+    /// consumed by its pipeline) is detected after a round-trip and
+    /// streamed again; the traffic is journaled as a `NetSend` event at
+    /// the node's finish. `des_finish`, when given, is the node's finish
+    /// in a cluster DES and overrides the pipeline's isolated total.
+    /// Returns the node report, its injection time and its fault summary.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn finish_node<R: Recorder>(
+        &self,
+        spec: &WorkloadSpec,
+        n_tasks: u64,
+        mode: ResourceMode,
+        plan: &FaultPlan,
+        policy: RecoveryPolicy,
+        des_finish: Option<SimTime>,
+        rec: &mut R,
+    ) -> (NodeReport, SimTime, FaultSummary) {
+        let (mut report, mut summary) = self
+            .node
+            .simulate_faulty(spec, n_tasks, mode, plan, policy, rec);
+        if let Some(finish) = des_finish {
+            report.total = finish;
+        }
+        let (msgs, bytes, mut net) = self.network.injection(n_tasks, spec.result_bytes());
+        let dropped = FaultInjector::new(plan).dropped_messages(msgs, report.total.as_nanos());
+        if dropped > 0 {
+            summary.dropped_messages += dropped;
+            let per_msg = if msgs > 0 {
+                SimTime::from_secs_f64(bytes as f64 / msgs as f64 / self.network.bandwidth)
+            } else {
+                SimTime::ZERO
+            };
+            if R::ENABLED {
+                rec.fault(FaultEvent {
+                    kind: FaultKind::DroppedMessage,
+                    action: FaultAction::Resent,
+                    at_ns: (report.total + net).as_nanos(),
+                    tasks: dropped,
+                });
+            }
+            net += (self.network.latency * 2 + per_msg) * dropped;
+        }
+        if R::ENABLED && msgs > 0 {
+            rec.event(Stage::NetSend, report.total.as_nanos(), bytes);
+            rec.add("net_msgs_sent", msgs);
+            rec.add("net_bytes_sent", bytes);
+        }
+        (report, net, summary)
+    }
+
+    /// Per-node rates for a cluster DES: healthy nodes share one
+    /// [`NodeSim::calibrate`] rate, and each non-inert plan calibrates
+    /// its own with its injector active (a straggler journals
+    /// `SlowNode` with `tasks(i)` as its task count). Returns the
+    /// healthy rate and one rate per node.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn calibrate_rates<R: Recorder>(
+        &self,
+        spec: &WorkloadSpec,
+        mode: ResourceMode,
+        plans: &[FaultPlan],
+        policy: RecoveryPolicy,
+        nodes: usize,
+        tasks: impl Fn(usize) -> u64,
+        rec: &mut R,
+    ) -> (NodeRate, Vec<NodeRate>) {
+        let none = FaultPlan::none();
+        let healthy = self.node.calibrate(spec, mode, &none, policy);
+        let rates = (0..nodes)
+            .map(|i| {
+                let plan = plans.get(i).unwrap_or(&none);
+                if FaultInjector::new(plan).is_inert() {
+                    return healthy;
+                }
+                journal_straggler(plan, tasks(i), rec);
+                self.node.calibrate(spec, mode, plan, policy)
+            })
+            .collect();
+        (healthy, rates)
+    }
+
+    /// The makespan: the slowest node's pipeline or injection tail.
+    pub(crate) fn reduce(
         &self,
         nodes: Vec<(NodeReport, SimTime)>,
         population: &TaskPopulation,
@@ -226,6 +254,18 @@ impl ClusterSim {
             network_time,
             total_tasks: population.total(),
         }
+    }
+}
+
+/// Journals a straggler plan's node-wide slowdown as `SlowNode`.
+fn journal_straggler<R: Recorder>(plan: &FaultPlan, tasks: u64, rec: &mut R) {
+    if R::ENABLED && plan.straggler_multiplier() != 1.0 {
+        rec.fault(FaultEvent {
+            kind: FaultKind::SlowNode,
+            action: FaultAction::Injected,
+            at_ns: 0,
+            tasks,
+        });
     }
 }
 
@@ -314,6 +354,7 @@ mod tests {
         let s = sim();
         let pop = TaskPopulation::even(spec(), 12_000, 4);
         let base = s.run_recorded(&pop, hybrid(), &mut NullRecorder);
+        assert_eq!(s.run(&pop, hybrid()), base, "parallel map must match");
         let plans = vec![FaultPlan::none(); 4];
         let (faulty, sums) = s.run_with_faults(
             &pop,

@@ -72,24 +72,11 @@
 
 use crate::network::{Interconnect, NetworkModel};
 use crate::node::NodeRate;
-use madness_faults::NodeTimeline;
+use madness_faults::{draw, NodeTimeline};
 use madness_gpusim::SimTime;
 use madness_mra::procmap::lpt_assign;
 use madness_runtime::graph::{Frontier, FrontierSnapshot, TaskId};
 use madness_trace::{stage_overlap_ns, FaultAction, FaultEvent, FaultKind, Recorder, Span, Stage};
-
-/// Deterministic uniform draw in `[0, 1)` (stateless splitmix64, the
-/// same construction the serving layer uses).
-fn draw(seed: u64, salt: u64, index: u64) -> f64 {
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(salt.rotate_left(17))
-        .wrapping_add(index.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// Salt for first-incarnation per-attempt failure draws.
 const SALT_FAIL: u64 = 0xDA6_FA11;

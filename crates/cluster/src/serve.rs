@@ -63,20 +63,20 @@
 //! hedging, no brownout) schedules no new events at all — the default
 //! path stays bit-identical to the pre-survival serving loop.
 
+use crate::balance::{Migrations, Move};
 use crate::cluster::ClusterSim;
 use crate::des::Des;
-use crate::network::Interconnect;
 use crate::node::{NodeRate, ResourceMode};
 use crate::workload::WorkloadSpec;
 use crate::BalanceMode;
 use madness_faults::{
-    BreakerMap, BreakerPolicy, FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan,
-    NodeFault, RecoveryPolicy,
+    draw, BreakerMap, BreakerPolicy, FaultAction, FaultEvent, FaultKind, FaultPlan, NodeFault,
+    RecoveryPolicy,
 };
 use madness_gpusim::SimTime;
 use madness_mra::procmap::lpt_assign;
 use madness_runtime::{Batcher, TaskKind, TenantId};
-use madness_trace::{BalanceEvent, BalanceKind, Recorder, ServeEvent, ServeOutcome, Stage};
+use madness_trace::{BalanceKind, Recorder, ServeEvent, ServeOutcome, Stage};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Operation id every serving request carries (requests are small Apply
@@ -94,21 +94,6 @@ const SALT_INTERARRIVAL: u64 = 0x5E12_AE01;
 const SALT_THIN: u64 = 0x5E12_AE02;
 const SALT_KIND: u64 = 0x5E12_AE03;
 const SALT_HOME: u64 = 0x5E12_AE04;
-
-/// Stateless deterministic draw in `[0, 1)` — the same splitmix64 mix
-/// the fault injector uses (its `draw` is crate-private there; the
-/// serving layer keeps its own copy with its own salts so the two
-/// decision streams stay independent).
-fn draw(seed: u64, salt: u64, index: u64) -> f64 {
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(salt.rotate_left(17))
-        .wrapping_add(index.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// Maps one uniform draw in `[0, 1]` onto a node index: scale and
 /// *clamp*. The clamp (not a modulo) keeps a draw at the very top of
@@ -746,16 +731,14 @@ struct SurvState {
 struct ServeCluster<'a, R: Recorder> {
     nodes: Vec<ServeNode>,
     des: Des<Ev>,
-    net: Interconnect,
+    mig: Migrations,
     requests: &'a [Request],
     weights: Vec<(TenantId, f64)>,
     mode: BalanceMode,
-    bytes_per_task: u64,
     queue_capacity: usize,
     shed_policy: ShedPolicy,
     timer: SimTime,
     seed: u64,
-    inflight: usize,
     seq: u64,
     admitted: u64,
     /// Completed + rejected + shed so far.
@@ -769,11 +752,6 @@ struct ServeCluster<'a, R: Recorder> {
     /// `(tenant, kind, sojourn_ns, outcome)` per attempt copy.
     outcomes: Vec<(TenantId, TaskKind, u64, ServeOutcome)>,
     makespan: SimTime,
-    steals: u64,
-    blocked_steals: u64,
-    migrated_tasks: u64,
-    migrated_bytes: u64,
-    migration_wire: SimTime,
     surv: Option<SurvState>,
     rec: &'a mut R,
 }
@@ -1167,8 +1145,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
         {
             return;
         }
-        if self.inflight >= max_inflight.max(1) {
-            self.blocked_steals += 1;
+        if self.mig.steal_blocked(max_inflight) {
             return;
         }
         // Victim: largest ready backlog (ties to the lowest index).
@@ -1200,14 +1177,10 @@ impl<R: Recorder> ServeCluster<'_, R> {
             if tasks == 0 {
                 return;
             }
-            let wire = self.net.model().migration_time(tasks, self.bytes_per_task);
-            let start = self.net.next_start(now);
-            let arrive = start + wire;
+            let arrive = self.mig.quote(now, tasks);
             let t = &self.nodes[thief];
             let thief_est = t.busy_until.max(arrive) + t.rate.per_task * tasks;
             if thief_est <= victim_est {
-                let (lane, s2, a2) = self.net.migrate(now, tasks, self.bytes_per_task);
-                debug_assert_eq!((s2, a2), (start, arrive));
                 let mut idxs: Vec<usize> = chosen.to_vec();
                 idxs.sort_unstable_by(|a, b| b.cmp(a)); // remove back-to-front
                 let mut batches = Vec::with_capacity(idxs.len());
@@ -1223,12 +1196,9 @@ impl<R: Recorder> ServeCluster<'_, R> {
                     }
                 }
                 self.nodes[thief].awaiting = true;
-                self.inflight += 1;
-                self.journal_migration(v, thief, tasks, lane, start, arrive, now);
-                self.steals += 1;
-                self.migrated_tasks += tasks;
-                self.migrated_bytes += tasks * self.bytes_per_task;
-                self.migration_wire += wire;
+                let steal = Move::Balance(BalanceKind::Steal);
+                let booked = self.mig.commit(self.rec, steal, (v, thief), tasks, now);
+                debug_assert_eq!(booked, arrive);
                 self.des.schedule(
                     arrive,
                     Ev::Migrated {
@@ -1243,39 +1213,6 @@ impl<R: Recorder> ServeCluster<'_, R> {
                 break;
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn journal_migration(
-        &mut self,
-        from: usize,
-        to: usize,
-        tasks: u64,
-        lane: usize,
-        start: SimTime,
-        arrive: SimTime,
-        decided: SimTime,
-    ) {
-        if !R::ENABLED {
-            return;
-        }
-        self.rec.span(
-            Stage::Migrate,
-            start.as_nanos(),
-            arrive.as_nanos(),
-            lane as u32,
-        );
-        self.rec.balance_event(BalanceEvent {
-            kind: BalanceKind::Steal,
-            from_node: from as u32,
-            to_node: to as u32,
-            tasks,
-            bytes: tasks * self.bytes_per_task,
-            at_ns: decided.as_nanos(),
-        });
-        self.rec.add("migrations", 1);
-        self.rec.add("migrated_tasks", tasks);
-        self.rec.add("migrated_bytes", tasks * self.bytes_per_task);
     }
 
     /// Repartition sync point: greedily move ready batches from the
@@ -1331,12 +1268,8 @@ impl<R: Recorder> ServeCluster<'_, R> {
                     s.delta.push(DeltaOp::Del(from, r.id));
                 }
             }
-            let wire = self.net.model().migration_time(tasks, self.bytes_per_task);
-            let (lane, start, arrive) = self.net.migrate(now, tasks, self.bytes_per_task);
-            self.migrated_tasks += tasks;
-            self.migrated_bytes += tasks * self.bytes_per_task;
-            self.migration_wire += wire;
-            self.journal_migration(from, to, tasks, lane, start, arrive, now);
+            let mv = Move::Balance(BalanceKind::Repartition);
+            let arrive = self.mig.commit(self.rec, mv, (from, to), tasks, now);
             self.des.schedule(
                 arrive,
                 Ev::Migrated {
@@ -1356,7 +1289,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
     /// already paid, so landing is free.
     fn migrated(&mut self, to: usize, batches: Vec<ReadyBatch>, steal: bool, now: SimTime) {
         if steal {
-            self.inflight = self.inflight.saturating_sub(1);
+            self.mig.steal_landed();
             self.nodes[to].awaiting = false;
         }
         let mut dst = to;
@@ -1598,26 +1531,13 @@ impl<R: Recorder> ServeCluster<'_, R> {
                 ready_at: now,
                 seq,
             };
-            let wire = self.net.model().migration_time(tasks, self.bytes_per_task);
-            let (lane, start, arrive) = self.net.migrate(now, tasks, self.bytes_per_task);
-            self.migrated_tasks += tasks;
-            self.migrated_bytes += tasks * self.bytes_per_task;
-            self.migration_wire += wire;
-            if R::ENABLED {
-                self.rec.span(
-                    Stage::Recover,
-                    start.as_nanos(),
-                    arrive.as_nanos(),
-                    lane as u32,
-                );
-                self.rec.fault(FaultEvent {
-                    kind,
-                    action,
-                    at_ns: now.as_nanos(),
-                    tasks,
-                });
-                self.rec.add("recovered_requests", nreqs as u64);
-            }
+            let mv = Move::Recover {
+                kind,
+                action,
+                counter: "recovered_requests",
+                count: nreqs as u64,
+            };
+            let arrive = self.mig.commit(self.rec, mv, (from, to), tasks, now);
             self.des.schedule(
                 arrive,
                 Ev::Migrated {
@@ -1828,29 +1748,13 @@ impl<R: Recorder> ServeCluster<'_, R> {
             ready_at: now,
             seq,
         };
-        let wire = self
-            .net
-            .model()
-            .migration_time(req.tasks, self.bytes_per_task);
-        let (lane, start, arrive) = self.net.migrate(now, req.tasks, self.bytes_per_task);
-        self.migrated_tasks += req.tasks;
-        self.migrated_bytes += req.tasks * self.bytes_per_task;
-        self.migration_wire += wire;
-        if R::ENABLED {
-            self.rec.span(
-                Stage::Recover,
-                start.as_nanos(),
-                arrive.as_nanos(),
-                lane as u32,
-            );
-            self.rec.fault(FaultEvent {
-                kind: FaultKind::SlowNode,
-                action: FaultAction::Hedged,
-                at_ns: now.as_nanos(),
-                tasks: req.tasks,
-            });
-            self.rec.add("hedges_launched", 1);
-        }
+        let mv = Move::Recover {
+            kind: FaultKind::SlowNode,
+            action: FaultAction::Hedged,
+            counter: "hedges_launched",
+            count: 1,
+        };
+        let arrive = self.mig.commit(self.rec, mv, (home, to), req.tasks, now);
         self.des.schedule(
             arrive,
             Ev::Migrated {
@@ -1966,27 +1870,8 @@ impl ClusterSim {
     ) -> ServeReport {
         assert!(cfg.nodes > 0, "cluster must have nodes");
         let requests = generate_requests(cfg);
-        let result_bytes = 8 * (cfg.spec.k as u64).pow(cfg.spec.d as u32);
-        let none = FaultPlan::none();
-        let healthy = self.node().calibrate(&cfg.spec, mode, &none, policy);
-        let rates: Vec<NodeRate> = (0..cfg.nodes)
-            .map(|i| {
-                let plan = plans.get(i).unwrap_or(&none);
-                if FaultInjector::new(plan).is_inert() {
-                    healthy
-                } else {
-                    if R::ENABLED && plan.straggler_multiplier() != 1.0 {
-                        rec.fault(FaultEvent {
-                            kind: FaultKind::SlowNode,
-                            action: FaultAction::Injected,
-                            at_ns: 0,
-                            tasks: 0,
-                        });
-                    }
-                    self.node().calibrate(&cfg.spec, mode, plan, policy)
-                }
-            })
-            .collect();
+        let (healthy, rates) =
+            self.calibrate_rates(&cfg.spec, mode, plans, policy, cfg.nodes, |_| 0, rec);
         let has_node_faults = plans.iter().any(|p| !p.node_faults().is_empty());
         let active = has_node_faults || survival.hedge.is_some() || survival.brownout.is_some();
         // Brownout serves the reduced-rank Apply: calibrate the healthy
@@ -1997,7 +1882,9 @@ impl ClusterSim {
                     rr_mean_rank: Some(b.rr_rank),
                     ..cfg.spec
                 };
-                let drate = self.node().calibrate(&dspec, mode, &none, policy);
+                let drate = self
+                    .node()
+                    .calibrate(&dspec, mode, &FaultPlan::none(), policy);
                 rates
                     .iter()
                     .map(|r| {
@@ -2126,16 +2013,14 @@ impl ClusterSim {
         let mut cluster = ServeCluster {
             nodes,
             des,
-            net: Interconnect::new(self.network().clone()),
+            mig: Migrations::new(self.network().clone(), cfg.spec.result_bytes()),
             requests: &requests,
             weights,
             mode: bmode,
-            bytes_per_task: result_bytes,
             queue_capacity: cfg.queue_capacity,
             shed_policy: cfg.shed,
             timer: batch_config.timer,
             seed: cfg.seed,
-            inflight: 0,
             seq: 0,
             admitted: 0,
             finished: 0,
@@ -2143,11 +2028,6 @@ impl ClusterSim {
             cancelled: 0,
             outcomes: Vec::with_capacity(requests.len()),
             makespan: SimTime::ZERO,
-            steals: 0,
-            blocked_steals: 0,
-            migrated_tasks: 0,
-            migrated_bytes: 0,
-            migration_wire: SimTime::ZERO,
             surv,
             rec,
         };
@@ -2160,16 +2040,17 @@ impl ClusterSim {
         );
 
         // Aggregate the percentile sink.
+        let ledger = cluster.mig.report;
         let mut report = ServeReport {
             generated: requests.len() as u64,
             admitted: cluster.admitted,
             horizon: cfg.horizon,
             makespan: cluster.makespan,
-            steals: cluster.steals,
-            blocked_steals: cluster.blocked_steals,
-            migrated_tasks: cluster.migrated_tasks,
-            migrated_bytes: cluster.migrated_bytes,
-            migration_wire: cluster.migration_wire,
+            steals: ledger.steals,
+            blocked_steals: ledger.blocked_steals,
+            migrated_tasks: ledger.migrated_tasks,
+            migrated_bytes: ledger.migrated_bytes,
+            migration_wire: ledger.migration_wire,
             ..ServeReport::default()
         };
         let mut all_ns: Vec<u64> = Vec::new();
@@ -2492,14 +2373,22 @@ mod tests {
     fn repartition_epochs_migrate_and_conserve() {
         let s = sim();
         let cfg = two_tenant_cfg(&s, 0.9);
+        let mut rec = MemRecorder::new();
         let report = s.run_served(
             &cfg,
             hybrid(),
             BalanceMode::Repartition { epochs: 4 },
-            &mut NullRecorder,
+            &mut rec,
         );
         assert!(report.conserved(), "{report:?}");
         assert_eq!(report.generated, report.completed);
+        // Epoch moves journal as repartitions, never as steals, and
+        // account for every migrated task.
+        let moves: Vec<_> = rec.balance_events().collect();
+        assert!(!moves.is_empty(), "0.9x load must trigger epoch moves");
+        assert!(moves.iter().all(|e| e.kind == BalanceKind::Repartition));
+        let tasks: u64 = moves.iter().map(|e| e.tasks).sum();
+        assert_eq!(tasks, report.migrated_tasks);
     }
 
     #[test]

@@ -40,6 +40,12 @@ impl WorkloadSpec {
             None => self.task_flops(),
         }
     }
+
+    /// Bytes of one task's result tensor (`8·k^d`): one remote
+    /// accumulation message, and what one migrated task puts on the wire.
+    pub(crate) fn result_bytes(&self) -> u64 {
+        8 * (self.k as u64).pow(self.d as u32)
+    }
 }
 
 /// The tasks of one Apply invocation, partitioned over compute nodes.
